@@ -30,10 +30,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	baseline := flag.String("baseline", "", "measure cold vs warm-cache recommend latency and write the JSON baseline to this path (e.g. BENCH_baseline.json), then exit")
 	baselineIters := flag.Int("baseline-iters", 9, "iterations per baseline measurement (median is recorded)")
-	shards := flag.Int("shards", 0, "run the engine on an in-process sharded backend with N shards (baseline mode)")
-	shardBench := flag.String("shardbench", "", "measure the single-node vs sharded latency curve and write BENCH_shard.json to this path, then exit")
-	shardBenchRows := flag.String("shardbench-rows", "100000,1000000", "comma-separated table sizes for -shardbench")
-	shardBenchShards := flag.String("shardbench-shards", "2,4,8", "comma-separated shard counts for -shardbench")
 	appendBench := flag.String("append", "", "measure query-after-append latency vs delta size (incremental chunk-partial reuse) and write BENCH_append.json to this path, then exit")
 	appendDeltas := flag.String("append-deltas", "1000,10000,50000", "comma-separated append batch sizes for -append")
 	schedBench := flag.String("sched", "", "measure the workload scheduler (request coalescing + admission) under concurrent bursts and write BENCH_sched.json to this path, then exit")
@@ -49,27 +45,6 @@ func main() {
 		for _, r := range experiments.Registry {
 			fmt.Printf("%-4s %s\n", r.ID, r.Title)
 		}
-		return
-	}
-
-	if *shardBench != "" {
-		rowsList, err := parseIntList(*shardBenchRows)
-		must(err)
-		shardList, err := parseIntList(*shardBenchShards)
-		must(err)
-		b, err := experiments.RunShardBench(rowsList, shardList, *seed, *baselineIters)
-		must(err)
-		data, err := b.JSON()
-		must(err)
-		must(os.WriteFile(*shardBench, append(data, '\n'), 0o644))
-		for _, w := range b.Workloads {
-			fmt.Printf("rows=%d single=%.1fms\n", w.Rows, w.SingleMillis)
-			for _, pt := range w.Curve {
-				fmt.Printf("  shards=%d wall=%.1fms (%.2fx) projected=%.1fms (%.2fx)\n",
-					pt.Shards, pt.WallMillis, pt.SpeedupWall, pt.ProjectedMillis, pt.SpeedupProjected)
-			}
-		}
-		fmt.Printf("-> %s (hostCores=%d)\n", *shardBench, b.HostCores)
 		return
 	}
 
@@ -151,7 +126,7 @@ func main() {
 		if n == 0 {
 			n = 100_000
 		}
-		b, err := experiments.RunBaseline(n, *seed, *baselineIters, *shards)
+		b, err := experiments.RunBaseline(n, *seed, *baselineIters)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seedb-bench: baseline: %v\n", err)
 			os.Exit(1)
@@ -188,11 +163,6 @@ func main() {
 		for _, id := range strings.Split(*exp, ",") {
 			ids = append(ids, strings.TrimSpace(id))
 		}
-	}
-
-	if *shards > 0 {
-		fmt.Fprintln(os.Stderr, "seedb-bench: -shards applies to -baseline and -shardbench modes")
-		os.Exit(2)
 	}
 
 	start := time.Now()

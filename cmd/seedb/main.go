@@ -12,21 +12,16 @@
 //
 //	seedb -data-dir /var/lib/seedb [-wal-sync-every 1] [-snapshot-every 256]
 //
-// Cluster mode — every node loads the same data (same flags); work is
-// partitioned per query by row range:
+// Cluster mode — workers hold chunk-aligned fragments shipped by the
+// coordinator, assigned by a consistent-hash ring with the given
+// replication factor (default 2; pass the worker count for a full copy
+// on every worker); join/leave rebalances only the placements that
+// changed owners. Workers may start empty:
 //
-//	seedb -addr :8080 -workers http://w1:8081,http://w2:8082   # coordinator
-//	seedb -addr :8081 -coordinator http://coord:8080 \
+//	seedb -addr :8080 [-replication 2] [-placement-chunks 4] \
+//	      [-workers http://w1:8081,http://w2:8082]             # coordinator
+//	seedb -addr :8081 -no-demo -coordinator http://coord:8080 \
 //	      -advertise http://w1:8081                            # worker (self-registers)
-//	seedb -shards 4                                            # single-node scatter-gather
-//
-// Data-partitioned placement mode — workers hold chunk-aligned
-// fragments (not full replicas), assigned by a consistent-hash ring
-// with the given replication factor; join/leave rebalances only the
-// placements that changed owners:
-//
-//	seedb -addr :8080 -replication 2 [-placement-chunks 4] \
-//	      [-workers http://w1:8081,http://w2:8082]             # placement coordinator
 package main
 
 import (
@@ -58,9 +53,8 @@ func main() {
 	rows := flag.Int("rows", 50000, "rows per demo dataset")
 	seed := flag.Int64("seed", 42, "demo dataset seed")
 	noDemo := flag.Bool("no-demo", false, "skip loading the demo datasets")
-	shards := flag.Int("shards", 0, "enable in-process scatter-gather execution across N table shards")
-	workers := flag.String("workers", "", "comma-separated worker base URLs; makes this node a cluster coordinator")
-	replication := flag.Int("replication", 0, "enable data-partitioned placement with this replication factor (workers hold fragments, not full replicas)")
+	workers := flag.String("workers", "", "comma-separated worker base URLs; makes this node a placement coordinator")
+	replication := flag.Int("replication", 0, "make this node a placement coordinator with this replication factor (0 with -workers = 2; the worker count gives every worker a full copy)")
 	placementChunks := flag.Int("placement-chunks", 0, "1024-row grid cells per placement (0 = 4, i.e. 4096-row placements)")
 	coordinator := flag.String("coordinator", "", "coordinator base URL to register with at startup (worker mode)")
 	advertise := flag.String("advertise", "", "base URL this worker advertises to the coordinator (default http://<hostname><addr>)")
@@ -130,19 +124,11 @@ func main() {
 		}
 	}
 
-	// Execution layout: plain local (default), in-process sharded, or
-	// cluster coordinator over remote workers. Workers need no special
-	// mode — every server exposes the shard API — but may self-register
-	// with a coordinator.
-	switch {
-	case *workers != "" && *shards > 0:
-		log.Fatal("seedb: -workers and -shards are mutually exclusive")
-	case *replication > 0:
-		// Data-partitioned placement: tables are cut into chunk-aligned
-		// placements assigned to workers by a consistent-hash ring;
-		// each worker holds only its owned fragments. Workers may also
-		// be empty at startup and register later (-coordinator on the
-		// worker side works unchanged).
+	// Execution layout: plain local (default) or placement coordinator.
+	// Workers need no special mode — every server exposes the shard
+	// API — but may self-register with a coordinator (-coordinator on
+	// the worker side), and may be empty at startup.
+	if *replication > 0 || *workers != "" {
 		var urls []string
 		if *workers != "" {
 			for _, u := range strings.Split(*workers, ",") {
@@ -161,21 +147,6 @@ func main() {
 		st := b.Counters()
 		log.Printf("seedb: placement coordinator (%s): %d placements over %d workers, rf=%d",
 			b.Signature(), st.Placements, st.Workers, st.Replication)
-	case *workers != "":
-		urls := strings.Split(*workers, ",")
-		for i := range urls {
-			urls[i] = strings.TrimSpace(urls[i])
-		}
-		b := db.ShardRemote(urls, 0, seedb.ClusterConfig{})
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		for _, st := range b.HealthCheck(ctx) {
-			log.Printf("seedb: worker %s healthy=%v", st.ID, st.Healthy)
-		}
-		cancel()
-		log.Printf("seedb: coordinating %d workers (%s); unhealthy shards fail over to local execution", b.NumShards(), b.Signature())
-	case *shards > 0:
-		db.ShardLocal(*shards, seedb.ClusterConfig{})
-		log.Printf("seedb: in-process scatter-gather across %d shards", *shards)
 	}
 
 	srv := frontend.NewWithConfig(db, seedb.ServeConfig{

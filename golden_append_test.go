@@ -100,22 +100,24 @@ func TestGoldenAppendMatchesColdScan(t *testing.T) {
 		t.Fatalf("live instance should have reused sealed-chunk partials: %+v", st)
 	}
 
-	// Every shard count over the grown table agrees with the cold scan.
+	// Every scan split over the grown table agrees with the cold scan.
 	for _, n := range goldenShardCounts {
 		db := goldenDB(t)
 		appendAll(db)
-		db.ShardLocal(n, ClusterConfig{})
+		opts := opts
+		b := splitScans(db, &opts, n)
 		db.Serve(ServeConfig{})
 		// Warm pass after a cold pass: both must match the reference.
 		for pass := 0; pass < 2; pass++ {
 			res, err := db.RecommendSQL(ctx, query, opts)
 			if err != nil {
-				t.Fatalf("shards=%d pass=%d: %v", n, pass, err)
+				t.Fatalf("split=%d pass=%d: %v", n, pass, err)
 			}
 			if got := renderGolden(res); got != wantBytes {
-				t.Fatalf("shards=%d pass=%d differs from cold scan:\n%s\nvs\n%s", n, pass, got, wantBytes)
+				t.Fatalf("split=%d pass=%d differs from cold scan:\n%s\nvs\n%s", n, pass, got, wantBytes)
 			}
 		}
+		requireSplit(t, b, n)
 	}
 }
 

@@ -118,9 +118,8 @@ func TestGoldenOperatorRecommendations(t *testing.T) {
 }
 
 // TestGoldenOperatorBackendMatrix: each operator's committed golden
-// binds on scatter-gather sharded backends at every shard count and on
-// an rf=2 placed fleet — with zero operator-specific code in either
-// backend.
+// binds at every scan split and on an rf=2 placed fleet — with zero
+// operator-specific code in either path.
 func TestGoldenOperatorBackendMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range operatorGoldenCases {
@@ -136,13 +135,15 @@ func TestGoldenOperatorBackendMatrix(t *testing.T) {
 
 				for _, n := range goldenShardCounts {
 					db := goldenDB(t)
-					db.ShardLocal(n, ClusterConfig{})
+					opts := opts
+					b := splitScans(db, &opts, n)
 					res, err := db.RecommendSQL(ctx, query, opts)
 					if err != nil {
-						t.Fatalf("shards=%d: %v", n, err)
+						t.Fatalf("split=%d: %v", n, err)
 					}
+					requireSplit(t, b, n)
 					if got := renderGolden(res); got != string(want) {
-						t.Fatalf("shards=%d differs from single-node golden %s:\ngot:\n%s\nwant:\n%s",
+						t.Fatalf("split=%d differs from single-node golden %s:\ngot:\n%s\nwant:\n%s",
 							n, path, got, want)
 					}
 				}

@@ -5,13 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"seedb/internal/splittest"
 )
 
 // Golden recovery tests: the durability guarantee of ISSUE 6, pinned
 // end to end. A DB that crashes after acked ingest and reboots from
 // its data dir (snapshot checkpoints + WAL tail) must answer queries
-// byte-identical to an instance that never restarted — at every shard
-// count, with the mutation-version sequence continuing seamlessly so
+// byte-identical to an instance that never restarted — at every scan
+// split, with the mutation-version sequence continuing seamlessly so
 // fingerprints, content hashes, and the chunk grid never alias. Any
 // drift in the WAL encoding, snapshot format, replay ordering, or
 // version resumption shows up here as a diff.
@@ -57,7 +59,7 @@ func ordersState(t *testing.T, db *DB) (hash string, version uint64, rows int) {
 // under SyncEvery=1), reboot from the data dir, and compare against a
 // memory-only instance that applied the same batches and never
 // restarted. Shard counts 0 (plain) and 1/2/4/8 all must agree to the
-// byte; each shard count boots its own recovery, so replay idempotence
+// byte; each split count boots its own recovery, so replay idempotence
 // across repeated boots is exercised too.
 func TestGoldenRecoveryMatchesNeverRestarted(t *testing.T) {
 	ctx := context.Background()
@@ -93,7 +95,7 @@ func TestGoldenRecoveryMatchesNeverRestarted(t *testing.T) {
 		rec := goldenDB(t)
 		info, err := rec.EnableDurability(dir, 1, 2)
 		if err != nil {
-			t.Fatalf("shards=%d: recovery: %v", n, err)
+			t.Fatalf("split=%d: recovery: %v", n, err)
 		}
 		if i == 0 {
 			// With 5 batches and SnapshotEvery=2 the dir holds a
@@ -108,21 +110,26 @@ func TestGoldenRecoveryMatchesNeverRestarted(t *testing.T) {
 		}
 		gotHash, gotVersion, gotRows := ordersState(t, rec)
 		if gotHash != wantHash || gotVersion != wantVersion || gotRows != wantRows {
-			t.Fatalf("shards=%d: recovered table diverged: hash %s version %d rows %d, want %s %d %d",
+			t.Fatalf("split=%d: recovered table diverged: hash %s version %d rows %d, want %s %d %d",
 				n, gotHash, gotVersion, gotRows, wantHash, wantVersion, wantRows)
 		}
+		opts := opts
+		var split *splittest.Backend
 		if n > 0 {
-			rec.ShardLocal(n, ClusterConfig{})
+			split = splitScans(rec, &opts, n)
 		}
 		res, err := rec.RecommendSQL(ctx, query, opts)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
+			t.Fatalf("split=%d: %v", n, err)
+		}
+		if split != nil {
+			requireSplit(t, split, n)
 		}
 		if got := renderGolden(res); got != wantBytes {
-			t.Fatalf("shards=%d: recovered query differs from never-restarted:\n%s\nvs\n%s", n, got, wantBytes)
+			t.Fatalf("split=%d: recovered query differs from never-restarted:\n%s\nvs\n%s", n, got, wantBytes)
 		}
 		if err := rec.CloseDurability(); err != nil {
-			t.Fatalf("shards=%d: close: %v", n, err)
+			t.Fatalf("split=%d: close: %v", n, err)
 		}
 	}
 }

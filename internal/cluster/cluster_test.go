@@ -17,6 +17,7 @@ import (
 	"seedb/internal/cluster"
 	"seedb/internal/engine"
 	"seedb/internal/frontend"
+	"seedb/internal/splittest"
 )
 
 // newDB builds a deterministic instance with the synthetic demo table;
@@ -67,10 +68,10 @@ func httpPostJSON(url, body string) (string, error) {
 	return string(data), err
 }
 
-// TestLocalShardedMatchesSingleNode: the tentpole invariant — sharded
-// scatter-gather returns byte-identical recommendations for every
-// shard count.
-func TestLocalShardedMatchesSingleNode(t *testing.T) {
+// TestSplitScansMatchSingleNode: the tentpole invariant — cutting
+// every scan into n grid-aligned ranges returns byte-identical
+// recommendations for every n.
+func TestSplitScansMatchSingleNode(t *testing.T) {
 	ctx := context.Background()
 	opts := testOptions()
 
@@ -83,47 +84,29 @@ func TestLocalShardedMatchesSingleNode(t *testing.T) {
 
 	for _, n := range []int{1, 2, 4, 8} {
 		db := newDB(t, 4000)
-		db.ShardLocal(n, seedb.ClusterConfig{})
+		opts := opts
+		opts.Parallelism = n
+		split := splittest.New(db.Engine().Executor(), n)
+		db.SetBackend(split)
 		got, err := db.RecommendSQL(ctx, testQuery, opts)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		if split.Scans() == 0 {
+			t.Fatalf("n=%d: no scan went through the split backend", n)
+		}
 		if g := render(got); g != wantBytes {
-			t.Fatalf("n=%d shards changed result bytes:\n%s\nvs\n%s", n, g, wantBytes)
+			t.Fatalf("n=%d split changed result bytes:\n%s\nvs\n%s", n, g, wantBytes)
 		}
 	}
 }
 
-// TestOptionsShardsOverride: the per-query Shards option narrows the
-// scatter width without changing bytes.
-func TestOptionsShardsOverride(t *testing.T) {
-	ctx := context.Background()
-	db := newDB(t, 3000)
-	b := db.ShardLocal(8, seedb.ClusterConfig{})
-	opts := testOptions()
-	opts.Shards = 2
-	res, err := db.RecommendSQL(ctx, testQuery, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := newDB(t, 3000)
-	want, err := plain.RecommendSQL(ctx, testQuery, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if render(res) != render(want) {
-		t.Fatal("Shards=2 on an 8-shard backend changed result bytes")
-	}
-	if b.Counters().Scatters == 0 {
-		t.Fatal("expected scatters to be recorded")
-	}
-}
-
 // startWorker runs a full seedb HTTP server (the worker role is just a
-// plain server) over its own identically-loaded DB.
-func startWorker(t *testing.T, rows int) (*httptest.Server, *seedb.DB) {
+// plain server) over an empty DB: a placement worker holds nothing
+// until the coordinator ships fragments to it.
+func startWorker(t *testing.T) (*httptest.Server, *seedb.DB) {
 	t.Helper()
-	db := newDB(t, rows)
+	db := seedb.Open()
 	srv := frontend.New(db, nil, log.New(testWriter{t}, "worker: ", 0))
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
@@ -137,16 +120,49 @@ func (w testWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRemoteClusterMatchesSingleNode: coordinator + two HTTP workers
-// produce the same bytes as single-node execution, through the real
-// wire format and worker handlers.
+// leaderOf returns the worker that placement idx of table is routed to
+// first (its first owner in ring order).
+func leaderOf(t *testing.T, b *seedb.PlacementBackend, table string, idx int) string {
+	t.Helper()
+	dump, err := b.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range dump.Tables {
+		if tp.Table == table {
+			return tp.Placements[idx].Owners[0].Worker
+		}
+	}
+	t.Fatalf("no table %q in the placement map", table)
+	return ""
+}
+
+// workerStatus returns the named worker's health snapshot.
+func workerStatus(t *testing.T, b *seedb.PlacementBackend, id string) seedb.ShardStatus {
+	t.Helper()
+	for _, st := range b.Status() {
+		if st.ID == id {
+			return st.ShardStatus
+		}
+	}
+	t.Fatalf("no worker %s", id)
+	return seedb.ShardStatus{}
+}
+
+// TestRemoteClusterMatchesSingleNode: coordinator + two HTTP workers,
+// each holding every placement (rf = fleet size), produce the same
+// bytes as single-node execution, through the real wire format and
+// worker handlers.
 func TestRemoteClusterMatchesSingleNode(t *testing.T) {
 	ctx := context.Background()
-	w1, _ := startWorker(t, 3000)
-	w2, _ := startWorker(t, 3000)
+	w1, _ := startWorker(t)
+	w2, _ := startWorker(t)
 
 	coord := newDB(t, 3000)
-	b := coord.ShardRemote([]string{w1.URL, w2.URL}, 10*time.Second, seedb.ClusterConfig{})
+	b, err := coord.PlaceRemote(ctx, []string{w1.URL, w2.URL}, 10*time.Second, placementConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := coord.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -161,30 +177,37 @@ func TestRemoteClusterMatchesSingleNode(t *testing.T) {
 		t.Fatalf("remote cluster changed result bytes:\n%s\nvs\n%s", render(got), render(want))
 	}
 	c := b.Counters()
-	if c.Scatters == 0 || c.ShardCalls == 0 {
-		t.Fatalf("expected remote shard calls, got %+v", c)
+	if c.Scatters == 0 || c.RangeCalls == 0 {
+		t.Fatalf("expected remote range calls, got %+v", c)
 	}
 	if c.Failovers != 0 {
 		t.Fatalf("healthy cluster must not fail over, got %+v", c)
 	}
 	for _, st := range b.Status() {
-		if !st.Healthy {
-			t.Fatalf("shard %s unexpectedly unhealthy", st.ID)
+		if !st.Healthy || st.Fragments != c.Placements {
+			t.Fatalf("worker %s: healthy=%v holds %d of %d placements", st.ID, st.Healthy, st.Fragments, c.Placements)
 		}
 	}
 }
 
-// TestWorkerFailover: a dead worker degrades to coordinator-local
-// execution — same bytes, unhealthy shard, failovers counted.
+// TestWorkerFailover: a dead worker's placements move to the next
+// owner — same bytes, unhealthy worker, retries counted, and the
+// coordinator's degraded path stays cold while an owner survives.
 func TestWorkerFailover(t *testing.T) {
 	ctx := context.Background()
-	w1, _ := startWorker(t, 3000)
-	w2, _ := startWorker(t, 3000)
+	w1, _ := startWorker(t)
+	w2, _ := startWorker(t)
+	servers := map[string]*httptest.Server{w1.URL: w1, w2.URL: w2}
 
 	coord := newDB(t, 3000)
-	b := coord.ShardRemote([]string{w1.URL, w2.URL}, 5*time.Second, seedb.ClusterConfig{Cooldown: time.Hour})
-
-	w2.Close() // worker dies before the first request
+	cfg := placementConfig(2)
+	cfg.Cooldown = time.Hour
+	b, err := coord.PlaceRemote(ctx, []string{w1.URL, w2.URL}, 5*time.Second, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := leaderOf(t, b, "synthetic", 0)
+	servers[dead].Close() // the worker dies before the first request
 
 	got, err := coord.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {
@@ -196,56 +219,60 @@ func TestWorkerFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	if render(got) != render(want) {
-		t.Fatal("degraded execution changed result bytes")
+		t.Fatal("failed-over execution changed result bytes")
 	}
 	c := b.Counters()
-	if c.Failovers == 0 || c.Retries == 0 {
-		t.Fatalf("expected retries then failover, got %+v", c)
+	if c.Retries == 0 || c.Failovers != 0 {
+		t.Fatalf("expected retries then owner failover, got %+v", c)
 	}
-	unhealthy := 0
 	for _, st := range b.Status() {
-		if !st.Healthy {
-			unhealthy++
+		if st.Healthy == (st.ID == dead) {
+			t.Fatalf("worker %s healthy=%v, want only %s unhealthy", st.ID, st.Healthy, dead)
 		}
 	}
-	if unhealthy != 1 {
-		t.Fatalf("expected exactly one unhealthy shard, got %d", unhealthy)
-	}
 
-	// Second query: the dead shard is cooling down (Cooldown: 1h), so
-	// its ranges go straight to the degraded path without re-dialing
+	// Second query: the dead worker is cooling down (Cooldown: 1h), so
+	// its placements go straight to the next owner without re-dialing
 	// the corpse — its failure count must not move.
-	failuresBefore := deadShardFailures(b)
+	failuresBefore := workerStatus(t, b, dead).Failures
 	if _, err := coord.RecommendSQL(ctx, testQuery, testOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if after := deadShardFailures(b); after != failuresBefore {
-		t.Fatalf("cooling-down shard was re-dialed: failures %d -> %d", failuresBefore, after)
-	}
-	if b.Counters().Failovers <= c.Failovers {
-		t.Fatal("second query should have used the degraded path")
+	if after := workerStatus(t, b, dead).Failures; after != failuresBefore {
+		t.Fatalf("cooling-down worker was re-dialed: failures %d -> %d", failuresBefore, after)
 	}
 }
 
-func deadShardFailures(b *seedb.ClusterBackend) int64 {
-	for _, st := range b.Status() {
-		if !st.Healthy {
-			return st.Failures
-		}
-	}
-	return -1
-}
-
-// TestFingerprintMismatchDegrades: a worker loaded with different data
-// is refused per-request (HTTP 409), not retried, and its ranges run
-// locally — results stay correct.
+// TestFingerprintMismatchDegrades: a worker whose fragment diverged
+// after it was shipped is refused per request (HTTP 409), not retried,
+// and its range runs on the next owner — results stay correct.
 func TestFingerprintMismatchDegrades(t *testing.T) {
 	ctx := context.Background()
-	w1, _ := startWorker(t, 3000)
-	wBad, _ := startWorker(t, 2999) // one row off: different fingerprint
+	w1, w1db := startWorker(t)
+	w2, w2db := startWorker(t)
+	dbs := map[string]*seedb.DB{w1.URL: w1db, w2.URL: w2db}
 
 	coord := newDB(t, 3000)
-	b := coord.ShardRemote([]string{w1.URL, wBad.URL}, 5*time.Second, seedb.ClusterConfig{})
+	b, err := coord.PlaceRemote(ctx, []string{w1.URL, w2.URL}, 5*time.Second, placementConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap the leader's copy of placement 0 for rows of a table built
+	// with another seed, under the same fragment name: the coordinator
+	// still believes it holds the verified fragment.
+	bad := dbs[leaderOf(t, b, "synthetic", 0)]
+	other, _, err := seedb.SyntheticTable(seedb.DefaultSyntheticConfig("synthetic", 3000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag, err := other.ExtractRange(cluster.FragmentName("synthetic", 0), 0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.ReplaceTable(frag); err != nil {
+		t.Fatal(err)
+	}
+
 	got, err := coord.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -259,21 +286,24 @@ func TestFingerprintMismatchDegrades(t *testing.T) {
 		t.Fatal("mismatch degradation changed result bytes")
 	}
 	c := b.Counters()
-	if c.Mismatches == 0 || c.Failovers == 0 {
-		t.Fatalf("expected mismatch + failover, got %+v", c)
+	if c.Mismatches == 0 || c.Retries != 0 || c.Failovers != 0 {
+		t.Fatalf("expected an unretried mismatch covered by the next owner, got %+v", c)
 	}
 }
 
 // TestShardRegistration: a coordinator accepts worker registration
-// over HTTP and uses the new shard.
+// over HTTP, ships the worker its placements, and uses it.
 func TestShardRegistration(t *testing.T) {
 	ctx := context.Background()
 	coordDB := newDB(t, 2000)
-	b := coordDB.ShardRemote(nil, 5*time.Second, seedb.ClusterConfig{})
+	b, err := coordDB.PlaceRemote(ctx, nil, 5*time.Second, placementConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	coordSrv := httptest.NewServer(frontend.New(coordDB, nil, log.New(testWriter{t}, "coord: ", 0)))
 	t.Cleanup(coordSrv.Close)
 
-	worker, _ := startWorker(t, 2000)
+	worker, _ := startWorker(t)
 
 	// Register via the HTTP endpoint, exactly as `seedb -coordinator`
 	// does at worker startup.
@@ -284,18 +314,18 @@ func TestShardRegistration(t *testing.T) {
 	if !strings.Contains(resp, `"added":true`) {
 		t.Fatalf("registration response: %s", resp)
 	}
-	if b.NumShards() != 1 {
-		t.Fatalf("expected 1 shard after registration, got %d", b.NumShards())
+	if b.NumWorkers() != 1 {
+		t.Fatalf("expected 1 worker after registration, got %d", b.NumWorkers())
 	}
-	got, err := coordDB.RecommendSQL(ctx, "SELECT * FROM synthetic WHERE d0 = 'd0_v0'", testOptions())
+	got, err := coordDB.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Counters().ShardCalls == 0 {
-		t.Fatal("registered worker was never used")
+	if c := b.Counters(); c.RangeCalls == 0 || c.Failovers != 0 {
+		t.Fatalf("registered worker was not used cleanly: %+v", c)
 	}
 	plain := newDB(t, 2000)
-	want, err := plain.RecommendSQL(ctx, "SELECT * FROM synthetic WHERE d0 = 'd0_v0'", testOptions())
+	want, err := plain.RecommendSQL(ctx, testQuery, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,14 +335,17 @@ func TestShardRegistration(t *testing.T) {
 }
 
 // TestConcurrentShardedRecommends is the race-mode stress test for
-// concurrent scatter-gather: many sessions hammering one sharded
-// backend (plus a cache) must agree and stay race-clean.
+// concurrent split scans: many sessions hammering one instance whose
+// every scan is cut 4 ways (plus a cache) must agree and stay
+// race-clean.
 func TestConcurrentShardedRecommends(t *testing.T) {
 	ctx := context.Background()
 	db := newDB(t, 3000)
-	db.ShardLocal(4, seedb.ClusterConfig{})
-	db.Serve(seedb.ServeConfig{})
 	opts := testOptions()
+	opts.Parallelism = 4
+	split := splittest.New(db.Engine().Executor(), 4)
+	db.SetBackend(split)
+	db.Serve(seedb.ServeConfig{})
 
 	queries := []string{
 		"SELECT * FROM synthetic WHERE d0 = 'd0_v0'",
@@ -341,9 +374,12 @@ func TestConcurrentShardedRecommends(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
+	if split.Scans() == 0 {
+		t.Fatal("no scan went through the split backend")
+	}
 	for i := len(queries); i < workers; i++ {
 		if outs[i] != outs[i%len(queries)] {
-			t.Fatalf("concurrent sharded runs disagree for query %d", i%len(queries))
+			t.Fatalf("concurrent split runs disagree for query %d", i%len(queries))
 		}
 	}
 }

@@ -22,9 +22,8 @@ type PlacementWorker interface {
 }
 
 // MemberShard is an in-process placement worker with its OWN catalog
-// and executor: unlike LocalShard (which reads the coordinator's
-// tables), a MemberShard genuinely holds only the fragments shipped to
-// it, so single-binary tests exercise the same data movement a remote
+// and executor: it genuinely holds only the fragments shipped to it,
+// so single-binary tests exercise the same data movement a remote
 // fleet does — including the failure mode where a fragment was never
 // shipped. The root-package golden placement tests are built on it
 // (they cannot import the HTTP frontend without an import cycle).

@@ -15,16 +15,15 @@ import (
 	"seedb/internal/obs"
 )
 
-// This file is the data-partitioned half of the cluster layer. Where
-// ShardedBackend partitions WORK (every worker holds a full replica
-// and is handed row ranges per query), PlacementBackend partitions the
-// DATA: each table is cut into chunk-aligned placements — runs of
-// PlacementChunks consecutive cells of the engine's absolute 1024-row
-// grid — and a consistent-hash ring assigns every placement to
-// Replication distinct workers. A worker holds each owned placement as
+// PlacementBackend is the cluster layer's distributed backend. It
+// partitions the DATA: each table is cut into chunk-aligned placements
+// — runs of PlacementChunks consecutive cells of the engine's absolute
+// 1024-row grid — and a consistent-hash ring assigns every placement
+// to Replication distinct workers. A worker holds each owned placement as
 // a private fragment table (FragmentName), shipped by the coordinator
-// via the same snapshot/sync/ContentHash handshake replica bootstrap
-// uses, so no single worker needs RAM for the whole table.
+// via a snapshot/sync/ContentHash handshake, so no single worker needs
+// RAM for the whole table. A fleet where every worker holds a full copy
+// is the special case Replication == number of workers.
 //
 // Byte-identity survives the partitioning because fragments start on
 // grid boundaries: the engine's scan cells then cut at the same
@@ -160,14 +159,13 @@ func (m *member) holdCount() int {
 }
 
 // PlacementBackend is a core.Backend that routes each scan range to a
-// live owner of that range's placement and merges the partials — the
-// data-partitioned counterpart of ShardedBackend. The coordinator
-// keeps the authoritative full replica (it is the ingest entry point
-// and the degraded path); workers hold only their owned fragments.
+// live owner of that range's placement and merges the partials. The
+// coordinator keeps the authoritative full replica (it is the ingest
+// entry point and the degraded path); workers hold only their owned
+// fragments.
 type PlacementBackend struct {
-	ex    *engine.Executor
-	local *LocalShard
-	cfg   PlacementConfig
+	ex  *engine.Executor
+	cfg PlacementConfig
 
 	// mu guards membership: workers, ring, epoch.
 	mu      sync.RWMutex
@@ -218,7 +216,6 @@ func NewPlacement(ex *engine.Executor, cfg PlacementConfig) *PlacementBackend {
 	cfg = cfg.withDefaults()
 	return &PlacementBackend{
 		ex:         ex,
-		local:      NewLocalShard("coordinator", ex),
 		cfg:        cfg,
 		workers:    make(map[string]*member),
 		ring:       newHashRing(cfg.VirtualNodes),
@@ -240,8 +237,14 @@ func placementCount(rows, span int) int {
 	return (rows + span - 1) / span
 }
 
+// clusterObs is the backend's event-time observability state.
+type clusterObs struct {
+	rpcSeconds *obs.HistogramVec // per-worker range execution latency
+}
+
 // EnableMetrics registers the backend's counters with the metrics
-// registry (mirrors ShardedBackend.EnableMetrics).
+// registry and turns on the per-worker RPC latency histogram. Safe on
+// a live backend; observation-only either way.
 func (b *PlacementBackend) EnableMetrics(reg *obs.Registry) {
 	if reg == nil {
 		b.obsM.Store(nil)
@@ -542,10 +545,19 @@ func (b *PlacementBackend) scatter(ctx context.Context, q *engine.Query, gsets [
 	return results, nil
 }
 
+// maxConcurrent is how many of n ranges run at once under limit (0 =
+// all of them).
+func maxConcurrent(limit, n int) int {
+	if limit <= 0 || limit > n {
+		return n
+	}
+	return limit
+}
+
 // execPlacement runs one placement task on its owners in ring order,
-// with per-owner retries and the same degraded fallback ShardedBackend
-// uses: when every owner is down (or none holds the fragment), the
-// range runs on the coordinator's replica.
+// with per-owner retries and a degraded fallback: when every owner is
+// down (or none holds the fragment), the range runs on the
+// coordinator's replica.
 func (b *PlacementBackend) execPlacement(ctx context.Context, t *engine.Table, q *engine.Query, gsets []engine.GroupingSet, task placementTask, nRanges int) ([]*engine.Partial, error) {
 	owners := b.ownersFor(q.Table, task.idx)
 	fragName := FragmentName(q.Table, task.idx)
@@ -624,11 +636,11 @@ func (b *PlacementBackend) execPlacement(ctx context.Context, t *engine.Table, q
 	// placement. Fair-share the local scan parallelism, as a mass
 	// failover lands every range here concurrently.
 	b.failovers.Add(1)
-	localPar := q.Parallelism / nRanges
-	if localPar < 1 {
-		localPar = 1
-	}
-	return b.local.runRangeDirect(ctx, q, gsets, task.subLo, task.subHi, localPar)
+	sub := *q
+	sub.RowLo, sub.RowHi = task.subLo, task.subHi
+	sub.Parallelism = max(1, q.Parallelism/nRanges)
+	sub.OrderBy, sub.Limit = nil, 0 // ordering is applied after the merge
+	return b.ex.RunPartials(ctx, &sub, gsets)
 }
 
 // execOnOwner encodes the task as a fragment-local shard request and
@@ -674,6 +686,31 @@ func (b *PlacementBackend) execOnOwner(ctx context.Context, m *member, t *engine
 // ---------------------------------------------------------------------
 // Ingest: the append path in placement mode
 
+// ShardIngestStatus reports one owner's outcome for a forwarded
+// append to one fragment.
+type ShardIngestStatus struct {
+	ID string `json:"id"`
+	OK bool   `json:"ok"`
+	// Rows is the fragment's post-append row count and ContentHash its
+	// post-append digest (both zero-valued on error).
+	Rows        int    `json:"rows,omitempty"`
+	ContentHash string `json:"contentHash,omitempty"`
+	// Diverged means the owner applied the append but its fragment
+	// hash no longer matches the coordinator's — permanent drift, the
+	// owner is marked unhealthy.
+	Diverged bool   `json:"diverged,omitempty"`
+	Error    string `json:"error,omitempty"`
+}
+
+// IngestSummary is the coordinator-side outcome of a batched append.
+type IngestSummary struct {
+	Table       string              `json:"table"`
+	Appended    int                 `json:"appended"`
+	Rows        int                 `json:"rows"`
+	ContentHash string              `json:"contentHash"`
+	Shards      []ShardIngestStatus `json:"shards,omitempty"`
+}
+
 // Ingest applies a batched append to the coordinator's replica (the
 // durability seam), then forwards exactly the delta rows to the owners
 // of the placements the delta falls into — splitting the batch at
@@ -681,11 +718,8 @@ func (b *PlacementBackend) execOnOwner(ctx context.Context, m *member, t *engine
 // post-append ContentHash. A placement born by this append is shipped
 // whole to its owners. One batch is in flight fleet-wide at a time
 // (ingestMu), so owners applying identical deltas in identical order
-// necessarily agree on fragment content.
-//
-// Unlike ShardedBackend.Ingest (which forwards the whole batch to
-// every full replica), fan-out here is proportional to Replication,
-// not the worker count.
+// necessarily agree on fragment content. Fan-out is proportional to
+// Replication, not the worker count.
 func (b *PlacementBackend) Ingest(ctx context.Context, table string, rows [][]any) (*IngestSummary, error) {
 	b.ingestMu.Lock()
 	defer b.ingestMu.Unlock()
@@ -888,6 +922,16 @@ func (b *PlacementBackend) shipFragment(ctx context.Context, m *member, t *engin
 
 // ---------------------------------------------------------------------
 // Introspection
+
+// ShardStatus is one worker's health and accounting snapshot.
+type ShardStatus struct {
+	ID          string    `json:"id"`
+	Healthy     bool      `json:"healthy"`
+	Failures    int64     `json:"failures"`
+	LastFailure time.Time `json:"lastFailure,omitzero"`
+	Execs       int64     `json:"execs"`
+	AvgMillis   float64   `json:"avgMillis"`
+}
 
 // PlacementWorkerStatus is one worker's health snapshot plus its
 // fragment count.

@@ -17,18 +17,6 @@ import (
 	"seedb/internal/frontend"
 )
 
-// startEmptyWorker runs a seedb HTTP server over an EMPTY DB — the
-// placement worker role: it holds nothing until the coordinator ships
-// fragments to it.
-func startEmptyWorker(t *testing.T) (*httptest.Server, *seedb.DB) {
-	t.Helper()
-	db := seedb.Open()
-	srv := frontend.New(db, nil, log.New(testWriter{t}, "pworker: ", 0))
-	hs := httptest.NewServer(srv)
-	t.Cleanup(hs.Close)
-	return hs, db
-}
-
 // placementConfig: one grid cell per placement so modest test tables
 // still split into enough placements for the distribution assertions
 // to mean something.
@@ -267,8 +255,8 @@ func TestPlacementHTTPLifecycle(t *testing.T) {
 	coordSrv := httptest.NewServer(frontend.New(coordDB, nil, log.New(testWriter{t}, "coord: ", 0)))
 	t.Cleanup(coordSrv.Close)
 
-	w1, w1db := startEmptyWorker(t)
-	w2, _ := startEmptyWorker(t)
+	w1, w1db := startWorker(t)
+	w2, _ := startWorker(t)
 	for _, u := range []string{w1.URL, w2.URL} {
 		resp, err := httpPostJSON(coordSrv.URL+"/api/shard/register", fmt.Sprintf(`{"url":%q}`, u))
 		if err != nil {
@@ -430,7 +418,7 @@ func TestPlacementHTTPLifecycle(t *testing.T) {
 
 	// A replacement worker joins while the corpse is still registered:
 	// the join's rebalance ships the newcomer its share.
-	w3, _ := startEmptyWorker(t)
+	w3, _ := startWorker(t)
 	resp, err := httpPostJSON(coordSrv.URL+"/api/shard/register", fmt.Sprintf(`{"url":%q}`, w3.URL))
 	if err != nil {
 		t.Fatal(err)

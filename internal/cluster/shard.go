@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,8 +15,8 @@ import (
 )
 
 // Shard executes partial aggregation over an assigned row range of a
-// table replica. Implementations: LocalShard (in-process worker) and
-// RemoteShard (HTTP worker node).
+// table (or fragment) a worker holds. Implementations: RemoteShard
+// (HTTP worker node) and MemberShard (in-process worker).
 type Shard interface {
 	// ID names the shard for logs, stats, and failure accounting.
 	ID() string
@@ -28,46 +27,8 @@ type Shard interface {
 	Health(ctx context.Context) error
 }
 
-// ---------------------------------------------------------------------
-// LocalShard
-
-// LocalShard runs shard requests on an in-process executor. It powers
-// single-node scatter-gather (a pool of LocalShards over one executor)
-// and the coordinator's degraded path.
-type LocalShard struct {
-	id string
-	ex *engine.Executor
-}
-
-// NewLocalShard wraps an executor as a shard.
-func NewLocalShard(id string, ex *engine.Executor) *LocalShard {
-	return &LocalShard{id: id, ex: ex}
-}
-
-// ID implements Shard.
-func (s *LocalShard) ID() string { return s.id }
-
-// Health implements Shard; an in-process executor is always healthy.
-func (s *LocalShard) Health(context.Context) error { return nil }
-
-// ExecPartials implements Shard. The request's SQL predicates are
-// parsed against the local catalog — the same code path a remote
-// worker runs — so local and remote shards are interchangeable in
-// tests and in degraded mode.
-func (s *LocalShard) ExecPartials(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
-	resp, _, err := ExecShardRequest(ctx, s.ex, req)
-	if err != nil {
-		var mm *FingerprintMismatchError
-		if errors.As(err, &mm) {
-			mm.Shard = s.id
-		}
-		return nil, err
-	}
-	return resp, nil
-}
-
 // ExecShardRequest is the single worker-side implementation behind
-// both LocalShard and the HTTP /api/shard/exec handler: verify the
+// both MemberShard and the HTTP /api/shard/exec handler: verify the
 // replica's content hash, decode the wire query, run partials. The
 // returned status is what an HTTP server should answer with on error
 // (a 409 still carries a response so the coordinator learns this
@@ -96,24 +57,11 @@ func ExecShardRequest(ctx context.Context, ex *engine.Executor, req *ShardReques
 	return &ShardResponse{ContentHash: fp, Partials: partials}, http.StatusOK, nil
 }
 
-// runRangeDirect executes (q, gsets) over [lo,hi) without the wire
-// round-trip — the fast path for in-process pools and the degraded
-// fallback, where encoding to SQL and back would only add overhead
-// (and would fail for non-serializable predicates that are perfectly
-// runnable locally).
-func (s *LocalShard) runRangeDirect(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet, lo, hi, parallelism int) ([]*engine.Partial, error) {
-	sub := *q
-	sub.RowLo, sub.RowHi = lo, hi
-	sub.Parallelism = parallelism
-	sub.OrderBy, sub.Limit = nil, 0 // ordering is applied after the merge
-	return s.ex.RunPartials(ctx, &sub, gsets)
-}
-
 // queryFaultError marks a failure that is deterministic in the query
 // itself — an unserializable predicate, or a request the worker
 // rejected as malformed. Retrying would fail identically and the shard
 // is not at fault, so the coordinator neither retries nor penalizes
-// shard health; the range just runs on the local replica.
+// worker health; the range just runs on the local replica.
 type queryFaultError struct{ err error }
 
 func (e *queryFaultError) Error() string { return e.err.Error() }
@@ -142,13 +90,30 @@ func (e *FingerprintMismatchError) Error() string {
 // worker is an ordinary seedb server; see the frontend's
 // /api/shard/exec). The zero timeout uses DefaultRemoteTimeout.
 type RemoteShard struct {
-	id      string
-	baseURL string
-	client  *http.Client
+	id       string
+	baseURL  string
+	client   *http.Client
+	maxReply int64
 }
 
 // DefaultRemoteTimeout bounds one shard exchange.
 const DefaultRemoteTimeout = 30 * time.Second
+
+// MaxReplyBytes bounds one decoded worker reply on the success path.
+// Partials for a full view plan stay far below it; a larger reply is
+// treated as a worker fault (retried, then failed over to the next
+// owner or the coordinator), never as an unbounded allocation.
+const MaxReplyBytes = 256 << 20
+
+// decodeReply decodes one JSON reply of at most s.maxReply bytes.
+func (s *RemoteShard) decodeReply(r io.Reader, v any) error {
+	lr := &io.LimitedReader{R: r, N: s.maxReply + 1}
+	err := json.NewDecoder(lr).Decode(v)
+	if lr.N <= 0 {
+		return fmt.Errorf("reply exceeds %d bytes", s.maxReply)
+	}
+	return err
+}
 
 // NewRemoteShard points a shard at a worker's base URL, e.g.
 // "http://worker-3:8080".
@@ -157,9 +122,10 @@ func NewRemoteShard(baseURL string, timeout time.Duration) *RemoteShard {
 		timeout = DefaultRemoteTimeout
 	}
 	return &RemoteShard{
-		id:      baseURL,
-		baseURL: baseURL,
-		client:  &http.Client{Timeout: timeout},
+		id:       baseURL,
+		baseURL:  baseURL,
+		client:   &http.Client{Timeout: timeout},
+		maxReply: MaxReplyBytes,
 	}
 }
 
@@ -215,7 +181,7 @@ func (s *RemoteShard) ExecPartials(ctx context.Context, req *ShardRequest) (*Sha
 		return nil, err
 	}
 	var resp ShardResponse
-	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
+	if err := s.decodeReply(hres.Body, &resp); err != nil {
 		return nil, fmt.Errorf("cluster: shard %s: decoding response: %w", s.id, err)
 	}
 	return &resp, nil
@@ -243,17 +209,15 @@ func (s *RemoteShard) Ingest(ctx context.Context, req *IngestRequest) (*IngestRe
 		return nil, fmt.Errorf("cluster: shard %s ingest: HTTP %d: %s", s.id, hres.StatusCode, bytes.TrimSpace(msg))
 	}
 	var resp IngestResponse
-	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
+	if err := s.decodeReply(hres.Body, &resp); err != nil {
 		return nil, fmt.Errorf("cluster: shard %s ingest: decoding response: %w", s.id, err)
 	}
 	return &resp, nil
 }
 
-// TableSyncer is the optional shard capability behind replica
-// bootstrap: report the replica's table content hashes, and accept a
-// wholesale table replacement from the coordinator's serialized
-// snapshot. RemoteShard implements it; LocalShard does not need to
-// (in-process shards read the coordinator's own tables).
+// TableSyncer is the shard capability behind fragment shipping: report
+// the worker's table content hashes, and accept a wholesale table
+// replacement from the coordinator's serialized snapshot.
 type TableSyncer interface {
 	TableHashes(ctx context.Context) (map[string]string, error)
 	SyncTable(ctx context.Context, table string, snapshot []byte) (*SyncResponse, error)
@@ -261,7 +225,7 @@ type TableSyncer interface {
 
 // SyncResponse is the worker's post-replacement table state, which the
 // coordinator verifies against its own ContentHash — the same
-// handshake every scatter request uses.
+// handshake every routed request uses.
 type SyncResponse struct {
 	Table       string `json:"table"`
 	Rows        int    `json:"rows"`
@@ -288,7 +252,7 @@ func (s *RemoteShard) TableHashes(ctx context.Context) (map[string]string, error
 			ContentHash string `json:"contentHash"`
 		} `json:"tables"`
 	}
-	if err := json.NewDecoder(hres.Body).Decode(&body); err != nil {
+	if err := s.decodeReply(hres.Body, &body); err != nil {
 		return nil, fmt.Errorf("cluster: shard %s hashes: decoding response: %w", s.id, err)
 	}
 	hashes := make(map[string]string, len(body.Tables))
@@ -318,7 +282,7 @@ func (s *RemoteShard) SyncTable(ctx context.Context, table string, snapshot []by
 		return nil, fmt.Errorf("cluster: shard %s sync %q: HTTP %d: %s", s.id, table, hres.StatusCode, bytes.TrimSpace(msg))
 	}
 	var resp SyncResponse
-	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
+	if err := s.decodeReply(hres.Body, &resp); err != nil {
 		return nil, fmt.Errorf("cluster: shard %s sync: decoding response: %w", s.id, err)
 	}
 	return &resp, nil

@@ -1,19 +1,16 @@
-// Package cluster implements SeeDB's sharded scatter-gather execution
-// layer: a core.Backend that horizontally partitions every engine
-// query across table shards, runs the shards on an in-process worker
-// pool or on remote worker nodes over HTTP, and merges the
+// Package cluster implements SeeDB's data-partitioned execution layer:
+// PlacementBackend, a core.Backend that cuts every table into
+// chunk-aligned placements held by workers, routes each engine query's
+// row window to the owners of those placements, and merges the
 // partition-mergeable partials back into results byte-identical to a
 // single-node scan.
 //
-// Topology: every node (coordinator and workers) loads the same
-// tables; what is partitioned is the WORK, not the data. A shard is a
-// row range of the table, assigned per query along the engine's
-// deterministic chunk grid, so any shard count yields the same result
-// bytes. Workers are plain seedb servers exposing /api/shard/exec and
-// /api/shard/health; the coordinator verifies table fingerprints on
-// every exchange, retries failed shards, and falls back to executing a
-// shard's range on its own replica (the degraded path) when a worker
-// stays unreachable.
+// Workers are plain seedb servers (or in-process MemberShards)
+// exposing /api/shard/exec, /api/shard/health, /api/shard/sync and
+// /api/shard/drop; the coordinator keeps the authoritative replica,
+// verifies fragment content hashes on every exchange, retries failed
+// owners, moves to the next owner, and falls back to executing a range
+// on its own replica (the degraded path) when no owner is reachable.
 package cluster
 
 import (
@@ -24,9 +21,9 @@ import (
 	"seedb/internal/sql"
 )
 
-// ShardRequest is the wire form of one shard's slice of an engine
+// ShardRequest is the wire form of one placement's slice of an engine
 // query: everything a worker needs to run RunPartials over [RowLo,
-// RowHi) of its table replica. Predicates travel as SQL text (the
+// RowHi) of the fragment it holds. Predicates travel as SQL text (the
 // same dialect the analyst front door parses).
 type ShardRequest struct {
 	Table string `json:"table"`

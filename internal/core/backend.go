@@ -9,19 +9,18 @@ import (
 // Backend is the seam between plan execution and the machinery that
 // actually scans data. The optimizer lowers a Recommend call into
 // engine queries; a Backend decides where those queries run — the
-// in-process executor (the default), a scatter-gather pool of table
-// shards, or remote worker nodes behind a coordinator (see
-// internal/cluster). Every implementation must return results
-// byte-identical to a single-node scan: the engine's exact
+// in-process executor (the default) or placement workers behind a
+// coordinator (see internal/cluster). Every implementation must return
+// results byte-identical to a single-node scan: the engine's exact
 // partition-mergeable aggregation makes that achievable, and the
-// golden shard tests enforce it.
+// golden shard and placement tests enforce it.
 type Backend interface {
 	// Run executes one aggregation query.
 	Run(ctx context.Context, q *engine.Query) (*engine.Result, error)
 	// RunSharedScan executes one scan feeding every grouping set.
 	RunSharedScan(ctx context.Context, q *engine.Query, gsets []engine.GroupingSet) ([]*engine.Result, error)
 	// Signature identifies the backend's execution layout (e.g.
-	// "local", "sharded(local,n=4)"). It is folded into exec-cache
+	// "local", "placed(rf=2,chunks=4,epoch=3,workers=2)"). It is folded into exec-cache
 	// keys: results are layout-invariant for in-process backends, but
 	// a heterogeneous remote fleet could in principle run a different
 	// build, so entries are never shared across layouts.

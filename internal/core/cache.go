@@ -49,7 +49,7 @@ type ExecCache interface {
 // is included. Scan parallelism deliberately is NOT: the engine folds
 // float partials on a fixed per-table chunk grid and combines them with
 // exact summation, so SUM/AVG bytes are identical across parallelism
-// settings and shard counts — one cached entry serves them all. The
+// settings and placement topologies — one cached entry serves them all. The
 // backend layout signature IS included: in-process layouts are provably
 // result-identical, but a remote fleet could run a heterogeneous build,
 // so entries are never shared across execution layouts.
@@ -77,12 +77,6 @@ func execCacheKey(fingerprint, layout, operator string, q *engine.Query, gsets [
 	b.WriteString(operator)
 	b.WriteByte('\n')
 	b.WriteString(layout)
-	if q.Shards > 0 {
-		// A per-request shard-count override narrows which workers of a
-		// remote fleet execute; treat it as part of the layout.
-		b.WriteByte('/')
-		b.WriteString(strconv.Itoa(q.Shards))
-	}
 	b.WriteByte('\n')
 	// The phased row range selects which rows feed the aggregation, so
 	// it is part of the content address.

@@ -277,10 +277,9 @@ func validateRequiredView(v View, ts *stats.TableStats, opName string) error {
 // scattered.
 func (e *Engine) countTarget(ctx context.Context, q Query, opts Options) (int64, error) {
 	res, err := e.Backend().Run(ctx, &engine.Query{
-		Table:  q.Table,
-		Where:  q.Predicate,
-		Shards: opts.Shards,
-		Aggs:   []engine.AggSpec{{Func: engine.AggCount, Alias: "n"}},
+		Table: q.Table,
+		Where: q.Predicate,
+		Aggs:  []engine.AggSpec{{Func: engine.AggCount, Alias: "n"}},
 	})
 	if err != nil {
 		return 0, err

@@ -23,7 +23,7 @@ import (
 // runs and its results are mirrored into the comparison slot.
 func runUnit(ctx context.Context, e *Engine, be Backend, cache ExecCache, tb *engine.Table, fingerprint string, u *execUnit, q Query, opts Options, needsRef, sample bool, scanPar, rowLo, rowHi int) ([]*ViewData, error) {
 	mkQuery := func(aggs []engine.AggSpec, where engine.Predicate) *engine.Query {
-		eq := &engine.Query{Table: q.Table, Where: where, Aggs: aggs, Parallelism: scanPar, Shards: opts.Shards, RowLo: rowLo, RowHi: rowHi}
+		eq := &engine.Query{Table: q.Table, Where: where, Aggs: aggs, Parallelism: scanPar, RowLo: rowLo, RowHi: rowHi}
 		if sample {
 			eq.SampleFraction = opts.SampleFraction
 			eq.SampleSeed = opts.SampleSeed

@@ -28,7 +28,7 @@ import (
 // the centroid of its siblings, similarity scores against a probe view
 // that travels in the same batch. Operators must be deterministic pure
 // functions of their inputs — scores feed golden tests that pin
-// byte-identical output across shard counts, placement, caching, and
+// byte-identical output across scan splits, placement, caching, and
 // streaming.
 type ExplorationOperator interface {
 	// Name is the registry key (e.g. "deviation").

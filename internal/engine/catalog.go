@@ -13,6 +13,9 @@ import (
 // was valid; the durability machinery faulted), never a client error.
 var ErrNotDurable = errors.New("append applied but not durable")
 
+// ErrNoTable marks a lookup of a table name the catalog does not hold.
+var ErrNoTable = errors.New("no table named")
+
 // Catalog is the named-table registry plus the access-pattern tracker
 // that SeeDB's Metadata Collector reads. The paper's access-frequency
 // pruning ("SEEDB tracks access patterns for each table to identify the
@@ -112,7 +115,7 @@ func (c *Catalog) Table(name string) (*Table, error) {
 	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("engine: no table named %q", name)
+		return nil, fmt.Errorf("engine: %w %q", ErrNoTable, name)
 	}
 	return t, nil
 }

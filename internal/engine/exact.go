@@ -14,10 +14,10 @@ import (
 // the exact total to the nearest float64 (ties to even) once.
 //
 // This is the property the cluster layer is built on: a scan split
-// across parallel workers, table shards, or remote nodes produces the
-// same aggregate bytes as a single sequential scan, so result caches
-// never fragment by execution layout and golden tests hold across
-// shard counts.
+// across parallel workers, placement fragments, or remote nodes
+// produces the same aggregate bytes as a single sequential scan, so
+// result caches never fragment by execution layout and golden tests
+// hold across scan splits and placement topologies.
 //
 // Limbs are kept in carry-save form (each limb is a signed int64
 // holding a base-2^32 digit plus accumulated carries); carries are

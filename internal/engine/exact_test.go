@@ -166,7 +166,7 @@ func TestChunkGrid(t *testing.T) {
 		// Shard ranges must partition [0,rows) exactly, in order, with
 		// every interior boundary on the grid.
 		for _, n := range []int{1, 2, 3, 8, 500} {
-			ranges := ShardRanges(rows, 0, rows, n)
+			ranges := splitAligned(0, rows, n)
 			prev := 0
 			for _, rg := range ranges {
 				if rg[0] != prev || rg[1] <= rg[0] {

@@ -45,12 +45,6 @@ type Query struct {
 	Limit int
 	// Parallelism partitions the scan across workers when > 1.
 	Parallelism int
-	// Shards asks a cluster backend to scatter the query across this
-	// many horizontal partitions; 0 keeps the backend's configured
-	// layout. The in-process executor ignores it — results are
-	// partition-invariant by construction, so the hint only affects
-	// where the work runs, never what comes back.
-	Shards int
 	// RowLo/RowHi restrict the scan to rows [RowLo, RowHi) when RowHi > 0.
 	// SeeDB's phased execution uses ranges to stream the table in
 	// chunks, the way a wrapper would page through ctid ranges.
@@ -201,7 +195,7 @@ func (e *Executor) RunSharedScan(ctx context.Context, q *Query, gsets []Grouping
 // results depend only on the table contents and the query — never on
 // scan parallelism or on how a cluster backend splits the row range —
 // provided every partition boundary lies on the grid. splitAligned and
-// ShardRanges only ever produce grid-aligned boundaries; arbitrary
+// placement fragments only ever produce grid-aligned boundaries; arbitrary
 // RowLo/RowHi ranges (phased execution) remain deterministic per range
 // because cell partials cut at a range edge are still a pure function
 // of (table, range).
@@ -266,26 +260,8 @@ func splitAligned(lo, hi, parts int) [][2]int {
 	return out
 }
 
-// ShardRanges partitions [lo,hi) of a table with rows rows into at
-// most n grid-aligned sub-ranges (hi <= 0 means the whole table). The
-// cluster layer uses this to assign shard row ranges: because the cuts
-// are grid-aligned, the merged shard partials are bit-identical to a
-// single-node scan for every n.
-func ShardRanges(rows, lo, hi, n int) [][2]int {
-	if hi <= 0 || hi > rows {
-		hi = rows
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return nil
-	}
-	return splitAligned(lo, hi, n)
-}
-
 // Sort orders the result rows by the given keys (exported for the
-// cluster coordinator, which applies ORDER BY after merging shards).
+// cluster coordinator, which applies ORDER BY after merging placements).
 func (r *Result) Sort(keys []OrderKey) error { return r.sortBy(keys) }
 
 // runSets is the shared implementation: one scan, many groupers. With

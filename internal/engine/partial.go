@@ -18,7 +18,7 @@ import (
 // associative and the finalized bytes are independent of how the scan
 // was partitioned. This generalizes the paper's phased-execution
 // partial merging to the full aggregate set and is the unit of
-// exchange between cluster shards and their coordinator.
+// exchange between cluster workers and their coordinator.
 //
 // Partials are JSON-serializable: group keys are Values (exported
 // fields) and accumulator state travels as AccState.

@@ -94,7 +94,7 @@ func TestPartialMergeMatchesSingleScan(t *testing.T) {
 	wantBytes := resultBytes(t, want)
 
 	for _, n := range []int{1, 2, 3, 4, 8, 17, 64} {
-		ranges := ShardRanges(tb.NumRows(), 0, 0, n)
+		ranges := splitAligned(0, tb.NumRows(), n)
 		var merged *Partial
 		for _, rg := range ranges {
 			q := partialTestQuery(1)
@@ -128,7 +128,7 @@ func TestPartialMergeOrderIrrelevant(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := NewExecutor(cat)
-	ranges := ShardRanges(tb.NumRows(), 0, 0, 8)
+	ranges := splitAligned(0, tb.NumRows(), 8)
 	parts := make([]*Partial, len(ranges))
 	for i, rg := range ranges {
 		q := partialTestQuery(1)

@@ -271,7 +271,7 @@ type chunkSeg struct {
 // to a direct whole-range scan: segment boundaries lie on the chunk
 // grid, and partial merging at grid boundaries is exactly the
 // partition-invariance the engine already guarantees for parallel and
-// sharded scans.
+// placed scans.
 func (e *Executor) runPartialsChunked(ctx context.Context, q *Query, gsets []GroupingSet) ([]*Partial, error) {
 	st := e.PartialStore()
 	if st == nil {

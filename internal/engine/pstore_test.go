@@ -136,7 +136,7 @@ func TestIncrementalRowRanges(t *testing.T) {
 	ex := NewExecutor(cat)
 	ex.SetPartialStore(NewPartialStore(0))
 	for _, n := range []int{1, 3, 7} {
-		ranges := ShardRanges(tb.NumRows(), 0, 0, n)
+		ranges := splitAligned(0, tb.NumRows(), n)
 		var merged *Partial
 		for _, rg := range ranges {
 			q := partialTestQuery(1)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"time"
 
-	"seedb/internal/cluster"
 	"seedb/internal/core"
 	"seedb/internal/datagen"
 	"seedb/internal/engine"
@@ -21,10 +20,6 @@ type Baseline struct {
 	Seed       int64  `json:"seed"`
 	Iterations int    `json:"iterations"`
 	Query      string `json:"query"`
-	// Shards > 0 means the engine ran in-process scatter-gather across
-	// that many table shards (results are identical; only the
-	// execution layout changes).
-	Shards int `json:"shards,omitempty"`
 
 	// ColdMillis is the per-request latency with no cache installed
 	// (every call scans); WarmMillis is the latency once the cache
@@ -45,10 +40,8 @@ type Baseline struct {
 func (b *Baseline) JSON() ([]byte, error) { return json.MarshalIndent(b, "", "  ") }
 
 // RunBaseline measures cold vs warm-cache recommend latency on the
-// superstore workload at the given scale. shards > 0 runs the engine
-// on an in-process sharded backend (see RunShardBench for the full
-// scaling curve).
-func RunBaseline(rows int, seed int64, iterations, shards int) (*Baseline, error) {
+// superstore workload at the given scale.
+func RunBaseline(rows int, seed int64, iterations int) (*Baseline, error) {
 	if iterations < 3 {
 		iterations = 3
 	}
@@ -56,7 +49,6 @@ func RunBaseline(rows int, seed int64, iterations, shards int) (*Baseline, error
 		Rows:       rows,
 		Seed:       seed,
 		Iterations: iterations,
-		Shards:     shards,
 		Query:      "SELECT * FROM orders WHERE category = 'Furniture'",
 	}
 	q := core.Query{Table: "orders", Predicate: engine.Eq("category", engine.String("Furniture"))}
@@ -68,12 +60,7 @@ func RunBaseline(rows int, seed int64, iterations, shards int) (*Baseline, error
 		if err := cat.Register(datagen.Superstore("orders", rows, seed)); err != nil {
 			return nil, err
 		}
-		ex := engine.NewExecutor(cat)
-		eng := core.New(ex)
-		if shards > 0 {
-			eng.SetBackend(cluster.NewLocal(ex, shards, cluster.Config{}))
-		}
-		return eng, nil
+		return core.New(engine.NewExecutor(cat)), nil
 	}
 	measure := func(eng *core.Engine) (medianMillis, viewsPerSec float64, err error) {
 		times := make([]float64, 0, iterations)

@@ -1,13 +1,17 @@
 package frontend
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"seedb"
 	"seedb/internal/cluster"
+	"seedb/internal/engine"
 )
 
 // superstoreIngestRows builds n valid loose-typed rows for the orders
@@ -87,11 +91,10 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestIngestValidation: a bad batch is rejected atomically with the
+// same status code on a plain node and on a placement coordinator
+// (whose Ingest forwards deltas to fragment owners).
 func TestIngestValidation(t *testing.T) {
-	s := testServer(t)
-	before, _ := s.db.Table("orders")
-	rowsBefore := before.NumRows()
-
 	cases := []struct {
 		name string
 		body any
@@ -108,14 +111,53 @@ func TestIngestValidation(t *testing.T) {
 			{"West", "California", "Consumer", "Furniture", "Chairs", "Standard", "04-Apr", 10.0, 1.0, 2.5, 0.1},
 		}}, http.StatusBadRequest},
 	}
-	for _, tc := range cases {
-		w := postJSON(t, s, "/api/ingest", tc.body)
-		if w.Code != tc.code {
-			t.Errorf("%s: status = %d, want %d (%s)", tc.name, w.Code, tc.code, w.Body.String())
+	for _, placed := range []bool{false, true} {
+		s := testServer(t)
+		if placed {
+			if _, err := s.db.PlaceMembers(context.Background(), 2, seedb.PlacementConfig{Replication: 2, PlacementChunks: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, _ := s.db.Table("orders")
+		rowsBefore := before.NumRows()
+		for _, tc := range cases {
+			w := postJSON(t, s, "/api/ingest", tc.body)
+			if w.Code != tc.code {
+				t.Errorf("placed=%v %s: status = %d, want %d (%s)", placed, tc.name, w.Code, tc.code, w.Body.String())
+			}
+		}
+		if got := before.NumRows(); got != rowsBefore {
+			t.Fatalf("placed=%v: failed ingests must not change the table: %d rows, want %d", placed, got, rowsBefore)
+		}
+	}
+	// An append that applied but could not be logged is a server fault
+	// on both paths, not a bad batch.
+	if got := ingestStatus(fmt.Errorf("wrapped: %w", engine.ErrNotDurable)); got != http.StatusInternalServerError {
+		t.Fatalf("ErrNotDurable maps to %d, want 500", got)
+	}
+}
+
+// TestRequestBodyBound: every JSON endpoint reads at most
+// maxRequestBodyBytes and answers 413 past it, before doing any work.
+func TestRequestBodyBound(t *testing.T) {
+	s := testServer(t)
+	// A placement coordinator, so /api/shard/register reaches its decode.
+	if _, err := s.db.PlaceMembers(context.Background(), 1, seedb.PlacementConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.db.Table("orders")
+	rowsBefore := before.NumRows()
+	huge := `{"sql":"` + strings.Repeat("x", maxRequestBodyBytes) + `"}`
+	for _, path := range []string{"/api/recommend", "/api/drilldown", "/api/sql", "/api/session", "/api/ingest", "/api/shard/exec", "/api/shard/register"} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(huge))
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413 (%.200s)", path, w.Code, w.Body.String())
 		}
 	}
 	if got := before.NumRows(); got != rowsBefore {
-		t.Fatalf("failed ingests must not change the table: %d rows, want %d", got, rowsBefore)
+		t.Fatalf("an oversized ingest changed the table: %d rows, want %d", got, rowsBefore)
 	}
 }
 

@@ -87,7 +87,7 @@ func waitForStats(t *testing.T, db *seedb.DB, what string, cond func(seedb.Sched
 // TestCoalescedMatchesSolo pins the scheduler's headline guarantee at
 // the HTTP layer: a response served by joining an in-flight identical
 // run is byte-identical to a solo run of the same request — on the
-// plain backend and on sharded backends at every shard count, with the
+// plain backend and with every scan split 1, 2, 4 and 8 ways, with the
 // views additionally identical ACROSS backends. elapsedMillis (wall
 // clock) is normalized; all runs execute against the same warm cache
 // so the executor counters agree exactly.
@@ -95,9 +95,7 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 	var referenceViews string
 	for _, shards := range []int{0, 1, 2, 4, 8} { // 0 = plain in-process backend
 		db := streamTestDB(t)
-		if shards > 0 {
-			db.ShardLocal(shards, seedb.ClusterConfig{})
-		}
+		split := splitScans(db, shards)
 		s := New(db, nil, nil)
 		req := map[string]any{
 			"sql": "SELECT * FROM orders WHERE category = 'Furniture'",
@@ -155,6 +153,7 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 			t.Fatalf("shards=%d: views differ from single-node reference:\n%s\nvs\n%s",
 				shards, payload.Views, referenceViews)
 		}
+		requireSplit(t, split, shards)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"seedb"
@@ -107,15 +106,16 @@ func NewWithConfig(db *seedb.DB, cfg seedb.ServeConfig, templates []QueryTemplat
 	// not a routing difference).
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/api/trace", s.handleTrace)
-	// Cluster endpoints: every server can act as a worker shard
-	// (/api/shard/exec, /api/shard/health); a server whose DB runs a
-	// sharded backend additionally accepts worker registrations.
+	// Cluster endpoints: every server can act as a placement worker
+	// (/api/shard/exec, /api/shard/health, /api/shard/sync,
+	// /api/shard/drop); a server whose DB runs a placement backend
+	// additionally accepts worker registrations.
 	mux.HandleFunc("/api/shard/exec", s.handleShardExec)
 	mux.HandleFunc("/api/shard/health", s.handleShardHealth)
 	mux.HandleFunc("/api/shard/register", s.handleShardRegister)
 	mux.HandleFunc("/api/shard/sync", s.handleShardSync)
 	mux.HandleFunc("/api/shard/drop", s.handleShardDrop)
-	// Placement endpoints (data-partitioned coordinators only): the
+	// Placement endpoints (placement coordinators only): the
 	// placement map and an operator-triggered rebalance pass.
 	mux.HandleFunc("/api/placement", s.handlePlacement)
 	mux.HandleFunc("/api/placement/rebalance", s.handlePlacementRebalance)
@@ -294,12 +294,6 @@ type recommendRequest struct {
 	// session default; a value in (0,1) enables sampling at that
 	// fraction; any other value (e.g. 0) disables sampling.
 	SampleFraction *float64 `json:"sampleFraction"`
-	// Shards overrides the per-query scatter width when the server runs
-	// a cluster backend: absent keeps the session default, 0 restores
-	// the backend's configured layout, N>0 scatters across N shards.
-	// Results are byte-identical either way; this knob trades fan-out
-	// against per-request overhead.
-	Shards *int `json:"shards"`
 	// Phases enables phased execution with confidence-interval pruning:
 	// absent keeps the session default, 0 restores single-pass
 	// execution, N>1 processes the table in N phases. The streaming
@@ -350,8 +344,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req recommendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing request: %w", err))
+	if !s.decodeBody(w, r, &req, "request") {
 		return
 	}
 	if req.SQL == "" {
@@ -445,9 +438,6 @@ func (s *Server) optionsFrom(req recommendRequest, base seedb.Options) seedb.Opt
 			opts.SampleMinRows = def.SampleMinRows
 		}
 	}
-	if req.Shards != nil && *req.Shards >= 0 {
-		opts.Shards = *req.Shards
-	}
 	if req.Phases != nil && *req.Phases >= 0 {
 		opts.Phases = *req.Phases
 	}
@@ -534,8 +524,7 @@ func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req drillRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing request: %w", err))
+	if !s.decodeBody(w, r, &req, "request") {
 		return
 	}
 	if req.SQL == "" || req.Dimension == "" || req.Label == "" {
@@ -597,8 +586,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sqlRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing request: %w", err))
+	if !s.decodeBody(w, r, &req, "request") {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
@@ -644,8 +632,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		opts := seedb.DefaultOptions()
 		if r.ContentLength != 0 {
 			var req recommendRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing session options: %w", err))
+			if !s.decodeBody(w, r, &req, "session options") {
 				return
 			}
 			opts = s.optionsFrom(req, opts)
@@ -670,13 +657,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-type clusterStats struct {
-	Signature string                `json:"signature"`
-	Counters  cluster.Stats         `json:"counters"`
-	Shards    []cluster.ShardStatus `json:"shards"`
-}
-
-// placementStats is the /api/stats section for a data-partitioned
+// placementStats is the /api/stats section for a placement
 // coordinator: layout signature, cumulative counters (rebalance bytes
 // moved, fragments shipped/dropped, failovers), and per-worker health
 // with fragment counts.
@@ -705,8 +686,6 @@ type statsResponse struct {
 	// Incremental reports chunk-partial reuse when the store is
 	// enabled (it is by default under Serve).
 	Incremental *incrementalStats `json:"incremental,omitempty"`
-	// Cluster reports shard health when a sharded backend is active.
-	Cluster *clusterStats `json:"cluster,omitempty"`
 	// Placement reports the data-partitioned layout (placement
 	// counts, rebalance movement, ownership skew) when a placement
 	// backend is active.
@@ -752,13 +731,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := s.db.IncrementalStats()
 		resp.Incremental = &incrementalStats{Store: st, ReuseRatio: st.ReuseRatio()}
 	}
-	if b := s.clusterBackend(); b != nil {
-		resp.Cluster = &clusterStats{
-			Signature: b.Signature(),
-			Counters:  b.Counters(),
-			Shards:    b.Status(),
-		}
-	}
 	if b := s.placementBackend(); b != nil {
 		resp.Placement = &placementStats{
 			Signature: b.Signature(),
@@ -782,43 +754,32 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // /api/ingest: the live-table append path
 
 // handleIngest applies a batched append to this node's tables. On a
-// cluster coordinator the append is also forwarded to every worker
-// replica and each post-append ContentHash is re-verified against the
-// coordinator's, so distributed execution stays byte-identical across
-// appends; on a plain node (or worker) it applies locally. Rows are
-// loosely typed JSON ([[...], ...], numbers/strings/nulls) coerced
-// against the table schema; a bad batch is rejected atomically.
+// placement coordinator the delta is also forwarded to the owners of
+// the placements it lands in and each touched fragment's post-append
+// ContentHash is re-verified, so placed execution stays byte-identical
+// across appends; on a plain node (or worker) it applies locally. Rows
+// are loosely typed JSON ([[...], ...], numbers/strings/nulls) coerced
+// against the table schema; a bad batch is rejected atomically. Both
+// paths answer errors with the same status codes (ingestStatus).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req cluster.IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing ingest request: %w", err))
+	if !s.decodeBody(w, r, &req, "ingest request") {
 		return
 	}
 	if req.Table == "" || len(req.Rows) == 0 {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: ingest needs a table and at least one row"))
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	// Both coordinator backends expose the same Ingest contract:
-	// apply locally (through the durability seam), forward to the
-	// replicas/owners, verify content hashes.
-	var ing interface {
-		Ingest(ctx context.Context, table string, rows [][]any) (*cluster.IngestSummary, error)
-	}
-	if b := s.clusterBackend(); b != nil {
-		ing = b
-	} else if b := s.placementBackend(); b != nil {
-		ing = b
-	}
-	if ing != nil {
-		sum, err := ing.Ingest(ctx, req.Table, req.Rows)
+	if b := s.placementBackend(); b != nil {
+		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+		defer cancel()
+		sum, err := b.Ingest(ctx, req.Table, req.Rows)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
+			s.writeError(w, ingestStatus(err), err)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, sum)
@@ -826,30 +787,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := s.db.Table(req.Table)
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, err)
+		s.writeError(w, ingestStatus(err), err)
 		return
 	}
 	typed, err := t.ParseRows(req.Rows)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, ingestStatus(err), err)
 		return
 	}
 	// DB.Append routes through the durability seam: with a data dir
 	// configured, the 200 below means the batch is in the write-ahead
-	// log, not just in memory. A logging failure is a server fault
-	// (the rows were valid), so it maps to 500, never 400.
+	// log, not just in memory.
 	total, err := s.db.Append(req.Table, typed)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, seedb.ErrNotDurable) {
-			code = http.StatusInternalServerError
-		}
-		s.writeError(w, code, err)
+		s.writeError(w, ingestStatus(err), err)
 		return
 	}
 	resp := cluster.IngestResponse{Table: req.Table, Appended: len(req.Rows), Rows: total}
 	if req.Verify {
-		// Hashing is O(table); only coordinators (replica
+		// Hashing is O(table); only coordinators (fragment
 		// re-verification) and explicitly curious clients pay for it.
 		chash, err := t.ContentHash()
 		if err != nil {
@@ -861,16 +817,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// ---------------------------------------------------------------------
-// Cluster endpoints: worker side (/api/shard/exec, /api/shard/health)
-// and coordinator side (/api/shard/register)
-
-// clusterBackend returns the DB's sharded backend, or nil when the
-// plain in-process backend is active.
-func (s *Server) clusterBackend() *cluster.ShardedBackend {
-	b, _ := s.db.Backend().(*cluster.ShardedBackend)
-	return b
+// ingestStatus maps an append error to its HTTP status: an unknown
+// table is 404; an append that applied but could not be logged is a
+// server fault (500, the rows were valid); anything else is a batch
+// the client must fix (400).
+func ingestStatus(err error) int {
+	switch {
+	case errors.Is(err, engine.ErrNoTable):
+		return http.StatusNotFound
+	case errors.Is(err, engine.ErrNotDurable):
+		return http.StatusInternalServerError
+	}
+	return http.StatusBadRequest
 }
+
+// ---------------------------------------------------------------------
+// Cluster endpoints: worker side (/api/shard/exec, /api/shard/health,
+// /api/shard/sync, /api/shard/drop) and coordinator side
+// (/api/shard/register)
 
 // placementBackend returns the DB's placement backend, or nil when a
 // different backend is active.
@@ -879,10 +843,10 @@ func (s *Server) placementBackend() *cluster.PlacementBackend {
 	return b
 }
 
-// handleShardExec is the worker half of scatter-gather: it runs a
-// coordinator's shard request over this node's table replica and
+// handleShardExec is the worker half of placed execution: it runs a
+// coordinator's shard request over a fragment this node holds and
 // returns partition-mergeable partials. A fingerprint mismatch answers
-// 409 with this replica's fingerprint so the coordinator can tell data
+// 409 with this node's fingerprint so the coordinator can tell data
 // drift from transient failure.
 func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -890,8 +854,7 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.ShardRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing shard request: %w", err))
+	if !s.decodeBody(w, r, &req, "shard request") {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
@@ -899,7 +862,7 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	// Trace join: a coordinator propagates its run's trace ID in the
 	// request header; this worker records its half of the work under
 	// the same ID in its own ring, so an operator can correlate
-	// coordinator and worker dumps of one sharded run.
+	// coordinator and worker dumps of one placed run.
 	if id := r.Header.Get(obs.TraceHeader); id != "" && s.hub != nil {
 		tr := s.hub.Traces.New(id)
 		span := tr.StartSpan("worker-exec").
@@ -960,22 +923,27 @@ type shardRegisterRequest struct {
 	URL string `json:"url"`
 }
 
-// handleShardRegister adds a worker to a coordinator's shard set after
-// probing its health. Registering twice is a no-op, so workers can
-// re-announce on every restart.
+// handleShardRegister adds a worker to a placement coordinator after
+// probing its health: AddWorker holds ingest, rebalances, and verifies
+// every fragment shipped to it, so the joining worker receives exactly
+// the placements the ring now assigns it. Registering twice is a
+// no-op apart from re-shipping anything the worker lost, so workers
+// can re-announce on every restart.
 func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	b := s.clusterBackend()
-	pb := s.placementBackend()
-	if b == nil && pb == nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: this node is not a cluster coordinator"))
+	b := s.placementBackend()
+	if b == nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: this node is not a placement coordinator"))
 		return
 	}
 	var req shardRegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
+	if !s.decodeBody(w, r, &req, "shard registration") {
+		return
+	}
+	if req.URL == "" {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: shard registration needs a url"))
 		return
 	}
@@ -986,53 +954,26 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadGateway, fmt.Errorf("frontend: worker %s failed its health probe: %w", req.URL, err))
 		return
 	}
-	if pb != nil {
-		// Placement coordinator: the joining worker receives only the
-		// fragments the ring assigns it — not full replicas. AddWorker
-		// holds ingest, rebalances, and verifies every shipped
-		// fragment's ContentHash.
-		syncCtx, cancelSync := context.WithTimeout(r.Context(), 2*time.Minute)
-		defer cancelSync()
-		rep, added, err := pb.AddWorker(syncCtx, shard)
-		if err != nil {
-			s.writeError(w, http.StatusBadGateway, fmt.Errorf("frontend: worker %s failed placement rebalance: %w", req.URL, err))
-			return
-		}
-		s.logger.Printf("frontend: placement worker %s %s (epoch %d, shipped %d fragments / %d bytes)",
-			req.URL, map[bool]string{true: "registered", false: "re-announced"}[added], rep.Epoch, rep.Shipped, rep.BytesMoved)
-		s.writeJSON(w, http.StatusOK, map[string]any{"added": added, "workers": pb.NumWorkers(), "rebalance": rep})
-		return
-	}
-	// Bootstrap before admission: push every table the worker is
-	// missing (or holds a diverged copy of) from the coordinator's
-	// live replica — snapshot + WAL tail, materialized — and verify
-	// the ContentHash handshake. Workers no longer need identical
-	// pre-provisioned data; an empty node can join and catch up.
-	// Snapshot serialization runs with ingest held, so the worker
-	// joins exactly in step. The sync budget is larger than the health
-	// probe's: it moves whole tables.
+	// The sync budget is larger than the health probe's: it moves
+	// fragments.
 	syncCtx, cancelSync := context.WithTimeout(r.Context(), 2*time.Minute)
 	defer cancelSync()
-	boot, err := b.BootstrapShard(syncCtx, shard)
+	rep, added, err := b.AddWorker(syncCtx, shard)
 	if err != nil {
-		s.writeError(w, http.StatusBadGateway, fmt.Errorf("frontend: worker %s failed bootstrap: %w", req.URL, err))
+		s.writeError(w, http.StatusBadGateway, fmt.Errorf("frontend: worker %s failed placement rebalance: %w", req.URL, err))
 		return
 	}
-	if len(boot.Synced) > 0 {
-		s.logger.Printf("frontend: worker %s caught up (synced: %s)", req.URL, strings.Join(boot.Synced, ", "))
-	}
-	added := b.AddShard(shard)
-	s.logger.Printf("frontend: worker %s %s (now %d shards)", req.URL,
-		map[bool]string{true: "registered", false: "already registered"}[added], b.NumShards())
-	s.writeJSON(w, http.StatusOK, map[string]any{"added": added, "shards": b.NumShards(), "bootstrap": boot})
+	s.logger.Printf("frontend: placement worker %s %s (epoch %d, shipped %d fragments / %d bytes)",
+		req.URL, map[bool]string{true: "registered", false: "re-announced"}[added], rep.Epoch, rep.Shipped, rep.BytesMoved)
+	s.writeJSON(w, http.StatusOK, map[string]any{"added": added, "workers": b.NumWorkers(), "rebalance": rep})
 }
 
-// handleShardSync is the worker half of replica bootstrap: it accepts
-// a serialized table snapshot from a coordinator, swaps it in as this
-// node's replica (dropping any previous copy), and reports the
-// post-replacement content hash for the coordinator's handshake. With
-// durability enabled the replacement is checkpointed immediately, so
-// the caught-up replica survives this worker's own crashes.
+// handleShardSync is the worker half of fragment shipping: it accepts
+// a serialized table snapshot from a coordinator, swaps it in
+// (dropping any previous copy), and reports the post-replacement
+// content hash for the coordinator's handshake. With durability
+// enabled the replacement is checkpointed immediately, so the shipped
+// fragment survives this worker's own crashes.
 func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -1045,7 +986,7 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := engine.ReadTable(http.MaxBytesReader(w, r.Body, maxSyncSnapshotBytes))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontend: parsing sync snapshot: %w", err))
+		s.writeError(w, bodyErrorStatus(err), fmt.Errorf("frontend: parsing sync snapshot: %w", err))
 		return
 	}
 	if t.Name() != name {
@@ -1067,9 +1008,36 @@ func (s *Server) handleShardSync(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxSyncSnapshotBytes bounds one sync upload (a whole serialized
-// table); 1 GiB is far above any demo dataset while still refusing
-// unbounded bodies.
+// fragment or table); 1 GiB is far above any demo dataset while still
+// refusing unbounded bodies.
 const maxSyncSnapshotBytes = 1 << 30
+
+// maxRequestBodyBytes bounds every JSON request body the API decodes.
+// The largest legitimate one is an ingest batch; 16 MiB holds tens of
+// thousands of rows while refusing unbounded uploads with 413.
+const maxRequestBodyBytes = 16 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxRequestBodyBytes. On failure it answers the request itself — 413
+// past the limit, 400 for malformed JSON — and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes)).Decode(v)
+	if err != nil {
+		s.writeError(w, bodyErrorStatus(err), fmt.Errorf("frontend: parsing %s: %w", what, err))
+		return false
+	}
+	return true
+}
+
+// bodyErrorStatus is 413 for a body cut off by http.MaxBytesReader and
+// 400 for any other unreadable body.
+func bodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // handleShardDrop is the worker half of placement rebalancing's
 // shrink side: a coordinator asks this node to remove a fragment it no

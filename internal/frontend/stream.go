@@ -27,11 +27,11 @@ package frontend
 // emits only the done event. A stale digest (the table changed, or
 // different parameters) restarts the stream from scratch.
 //
-// The stream composes with every backend: on a sharded or
-// coordinator/worker cluster each phase is scattered, merged exactly,
-// and only then snapshotted, so progressive delivery never changes
-// result bytes (the done payload is pinned byte-identical to the
-// blocking response across shard counts by TestStreamDoneMatchesBlocking).
+// The stream composes with every backend and scan split: on a
+// placement cluster each phase is scattered, merged exactly, and only
+// then snapshotted, so progressive delivery never changes result bytes
+// (the done payload is pinned byte-identical to the blocking response
+// across scan splits by TestStreamDoneMatchesBlocking).
 import (
 	"context"
 	"crypto/sha256"
@@ -159,9 +159,6 @@ func streamRequestFromQuery(r *http.Request) (recommendRequest, error) {
 		return req, err
 	}
 	if req.DisableCombining, err = boolParam("disableCombining"); err != nil {
-		return req, err
-	}
-	if req.Shards, err = intParam("shards"); err != nil {
 		return req, err
 	}
 	if req.Phases, err = intParam("phases"); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"seedb"
+	"seedb/internal/splittest"
 )
 
 // sseEvent is one parsed Server-Sent Event frame.
@@ -169,7 +170,7 @@ func streamTestDB(t *testing.T) *seedb.DB {
 // TestStreamDoneMatchesBlocking pins the endpoint's core guarantee:
 // the terminal done payload is byte-identical to the blocking
 // /api/recommend response for the same request — on the single-node
-// backend and on sharded backends at every shard count. Two fields are
+// backend and with every scan split 1, 2, 4 and 8 ways. Two fields are
 // not functions of the request alone and are handled explicitly: the
 // elapsedMillis wall clock is normalized, and the executor-counter
 // stats (queriesIssued) are made comparable by warming the shared
@@ -182,9 +183,7 @@ func TestStreamDoneMatchesBlocking(t *testing.T) {
 	var referenceViews string
 	for _, shards := range []int{0, 1, 2, 4, 8} { // 0 = plain in-process backend
 		db := streamTestDB(t)
-		if shards > 0 {
-			db.ShardLocal(shards, seedb.ClusterConfig{})
-		}
+		split := splitScans(db, shards)
 		s := New(db, nil, nil)
 
 		req := map[string]any{
@@ -227,6 +226,27 @@ func TestStreamDoneMatchesBlocking(t *testing.T) {
 			t.Fatalf("shards=%d: recommended views differ from single-node reference:\n%s\nvs\n%s",
 				shards, payload.Views, referenceViews)
 		}
+		requireSplit(t, split, shards)
+	}
+}
+
+// splitScans installs a backend that cuts every engine scan n ways
+// (n = 0 keeps the plain in-process backend and returns nil).
+func splitScans(db *seedb.DB, n int) *splittest.Backend {
+	if n == 0 {
+		return nil
+	}
+	b := splittest.New(db.Engine().Executor(), n)
+	db.SetBackend(b)
+	return b
+}
+
+// requireSplit fails the test unless b (when installed) forwarded at
+// least one scan.
+func requireSplit(t *testing.T, b *splittest.Backend, n int) {
+	t.Helper()
+	if b != nil && b.Scans() == 0 {
+		t.Fatalf("split=%d: no scan went through the split backend", n)
 	}
 }
 

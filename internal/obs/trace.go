@@ -9,7 +9,7 @@ import (
 
 // TraceHeader is the HTTP header carrying a run's trace ID: set on
 // coordinator responses and propagated coordinator→worker on
-// /api/shard/exec so a sharded run's worker-side spans share the
+// /api/shard/exec so a placed run's worker-side spans share the
 // coordinator's trace ID.
 const TraceHeader = "X-Seedb-Trace"
 

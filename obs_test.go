@@ -3,11 +3,13 @@ package seedb
 import (
 	"context"
 	"testing"
+
+	"seedb/internal/splittest"
 )
 
 // Observability is observation-only: with metrics + tracing installed
 // (the default under Serve) every recommendation must be byte-identical
-// to a run with observability disabled — across shard counts and with
+// to a run with observability disabled — across scan splits and with
 // phased execution, the two paths where instrumentation sits closest to
 // the result math. This pins the obs seam the way progress_test.go pins
 // the ProgressListener seam.
@@ -19,45 +21,48 @@ func TestObservabilityByteIdentity(t *testing.T) {
 				opts := goldenOptions("emd")
 				opts.Phases = phases
 				db := goldenDB(t)
+				var split *splittest.Backend
 				if n > 0 {
-					db.ShardLocal(n, ClusterConfig{})
+					split = splitScans(db, &opts, n)
 				}
 				svc := db.Serve(ServeConfig{DisableObservability: disable})
 				sess := svc.NewSession(opts)
 				res, err := sess.RecommendSQL(ctx, goldenQueries[0], &opts)
 				if err != nil {
-					t.Fatalf("phases=%d shards=%d disable=%v: %v", phases, n, disable, err)
+					t.Fatalf("phases=%d split=%d disable=%v: %v", phases, n, disable, err)
+				}
+				if split != nil {
+					requireSplit(t, split, n)
 				}
 				return renderGolden(res), db
 			}
 			on, obsDB := run(false)
 			off, plainDB := run(true)
 			if on != off {
-				t.Fatalf("phases=%d shards=%d: result differs with observability on:\non:\n%s\noff:\n%s",
+				t.Fatalf("phases=%d split=%d: result differs with observability on:\non:\n%s\noff:\n%s",
 					phases, n, on, off)
 			}
 			// The enabled side must actually have observed the run (this
 			// is a pin, not a no-op test), and the disabled side must
 			// have recorded nothing.
 			if obsDB.Observability().Traces.Len() == 0 {
-				t.Fatalf("phases=%d shards=%d: observability on but no trace completed", phases, n)
+				t.Fatalf("phases=%d split=%d: observability on but no trace completed", phases, n)
 			}
 			if plainDB.Observability().Traces.Len() != 0 {
-				t.Fatalf("phases=%d shards=%d: DisableObservability still recorded traces", phases, n)
+				t.Fatalf("phases=%d split=%d: DisableObservability still recorded traces", phases, n)
 			}
 		}
 	}
 }
 
-// A sharded streaming run's trace must tell the whole story: the
-// scheduler queue wait, the run itself, cache lookups, per-shard
-// scatter calls, and per-phase segments — with every span inside the
+// A placed streaming run's trace must tell the whole story: the
+// scheduler queue wait, the run itself, cache lookups, per-placement
+// routed calls, and per-phase segments — with every span inside the
 // trace's wall time and the queue+run account summing consistently
 // with it.
 func TestTraceSpansForShardedStreamingRun(t *testing.T) {
 	ctx := context.Background()
-	db := goldenDB(t)
-	db.ShardLocal(4, ClusterConfig{})
+	db, _ := placedGoldenDB(t, 2, 4)
 	svc := db.Serve(ServeConfig{})
 	opts := goldenOptions("emd")
 	opts.Phases = 3
@@ -103,7 +108,7 @@ func TestTraceSpansForShardedStreamingRun(t *testing.T) {
 			runMillis += sp.DurMillis
 		}
 	}
-	for _, want := range []string{"scheduler-queue", "run", "cache-lookup", "shard-exec", "phase"} {
+	for _, want := range []string{"scheduler-queue", "run", "cache-lookup", "placement-exec", "phase"} {
 		if counts[want] == 0 {
 			t.Errorf("trace lacks a %q span; span counts: %v", want, counts)
 		}
@@ -111,8 +116,10 @@ func TestTraceSpansForShardedStreamingRun(t *testing.T) {
 	if counts["phase"] != opts.Phases {
 		t.Errorf("want %d phase spans, got %d", opts.Phases, counts["phase"])
 	}
-	if counts["shard-exec"] < 4 {
-		t.Errorf("want at least one shard-exec span per shard (4), got %d", counts["shard-exec"])
+	// 5000-row tables at one grid cell per placement: a full-table
+	// scan routes 5 placements.
+	if counts["placement-exec"] < 5 {
+		t.Errorf("want at least one placement-exec span per placement (5), got %d", counts["placement-exec"])
 	}
 	if counts["scheduler-queue"] != 1 || counts["run"] != 1 {
 		t.Errorf("want exactly one scheduler-queue and one run span, got %d and %d",

@@ -280,7 +280,7 @@ func Open() *DB {
 
 // Observability returns the instance's metrics registry + trace ring.
 // The hub always exists; components feed it only once they are wired
-// (Serve, EnableDurability, ShardLocal/ShardRemote), and the HTTP
+// (Serve, EnableDurability, PlaceRemote/PlaceMembers), and the HTTP
 // layer exposes it only when the service installed it (see
 // ServeConfig.DisableObservability). Everything it observes is
 // observation-only: results are byte-identical with the hub exported
@@ -330,25 +330,13 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 // unreachable (fingerprint change), but with incremental execution
 // enabled (see Serve and EnableIncremental) recomputation reuses every
 // sealed chunk's partials and only scans the appended delta, so a
-// query after an append costs O(delta), not O(table). On a cluster
-// coordinator with remote workers the batch is automatically forwarded
-// to every replica (ClusterBackend.Ingest) — appending only locally
-// would leave the fleet permanently diverged. It returns the table's
-// new row count.
+// query after an append costs O(delta), not O(table). On a placement
+// coordinator the delta is forwarded to the owners of the placements
+// it lands in (PlacementBackend.Ingest) — appending only locally would
+// leave the workers' fragments permanently diverged. It returns the
+// table's new row count.
 func (db *DB) Append(name string, rows [][]Value) (int, error) {
-	switch b := db.core.Backend().(type) {
-	case *cluster.ShardedBackend:
-		if b.HasRemoteShards() {
-			sum, err := b.Ingest(context.Background(), name, engine.FormatRowsWire(rows))
-			if err != nil {
-				return 0, err
-			}
-			return sum.Rows, nil
-		}
-	case *cluster.PlacementBackend:
-		// Placement workers always hold private fragments (even
-		// in-process members), so the append must fan the delta out to
-		// the owners of the placements it lands in.
+	if b, ok := db.core.Backend().(*cluster.PlacementBackend); ok {
 		sum, err := b.Ingest(context.Background(), name, engine.FormatRowsWire(rows))
 		if err != nil {
 			return 0, err
@@ -718,12 +706,7 @@ func Chart(d *ViewData, normalized bool) ChartSpec {
 type (
 	// Backend routes the optimizer's engine queries; see core.Backend.
 	Backend = core.Backend
-	// ClusterConfig tunes a sharded backend (retries, cooldown,
-	// failover).
-	ClusterConfig = cluster.Config
-	// ClusterBackend is the scatter-gather coordinator backend.
-	ClusterBackend = cluster.ShardedBackend
-	// ShardStatus is one shard's health snapshot.
+	// ShardStatus is one placement worker's health snapshot.
 	ShardStatus = cluster.ShardStatus
 	// PlacementConfig tunes a data-partitioned placement backend
 	// (replication factor, placement size, failover).
@@ -754,38 +737,6 @@ func (db *DB) SetBackend(b Backend) { db.core.SetBackend(b) }
 // Backend returns the active execution backend.
 func (db *DB) Backend() Backend { return db.core.Backend() }
 
-// ShardLocal switches the instance to in-process scatter-gather
-// execution across n logical table shards and returns the backend for
-// introspection. Results are byte-identical to the default backend for
-// every n — sharding changes where scans run, never what comes back.
-// Options.Shards (or the frontend's "shards" knob) can lower the
-// per-query shard count below n.
-func (db *DB) ShardLocal(n int, cfg ClusterConfig) *ClusterBackend {
-	b := cluster.NewLocal(db.ex, n, cfg)
-	b.EnableMetrics(db.obs.Metrics)
-	db.core.SetBackend(b)
-	return b
-}
-
-// ShardRemote switches the instance into cluster-coordinator mode:
-// every view query is scattered across the given worker base URLs
-// (each a seedb server that loaded the same tables, e.g.
-// "http://worker-1:8080"). The local replica remains the degraded
-// path — if a worker stays unreachable past its retries, its row range
-// is executed locally, so queries keep succeeding with reduced
-// offload. Additional workers can register later via the coordinator's
-// /api/shard/register endpoint or AddShard on the returned backend.
-func (db *DB) ShardRemote(workers []string, timeout time.Duration, cfg ClusterConfig) *ClusterBackend {
-	shards := make([]cluster.Shard, len(workers))
-	for i, url := range workers {
-		shards[i] = cluster.NewRemoteShard(url, timeout)
-	}
-	b := cluster.NewDistributed(db.ex, shards, cfg)
-	b.EnableMetrics(db.obs.Metrics)
-	db.core.SetBackend(b)
-	return b
-}
-
 // PlaceRemote switches the instance into placement-coordinator mode:
 // every table is cut into chunk-aligned placements assigned to the
 // given worker base URLs via a consistent-hash ring with cfg's
@@ -793,9 +744,10 @@ func (db *DB) ShardRemote(workers []string, timeout time.Duration, cfg ClusterCo
 // of that range. The local replica remains authoritative (ingest
 // entry point and degraded path); workers hold only their owned
 // fragments, so the fleet can serve tables no single worker could
-// hold whole. Workers are rebalanced in as they are added; more can
-// register later via /api/shard/register or AddWorker on the
-// returned backend.
+// hold whole — or, with cfg.Replication equal to the worker count,
+// each worker holds every placement. Workers are rebalanced in as
+// they are added; more can register later via /api/shard/register or
+// AddWorker on the returned backend.
 func (db *DB) PlaceRemote(ctx context.Context, workers []string, timeout time.Duration, cfg PlacementConfig) (*PlacementBackend, error) {
 	b := cluster.NewPlacement(db.ex, cfg)
 	b.EnableMetrics(db.obs.Metrics)
@@ -827,20 +779,17 @@ func (db *DB) PlaceMembers(ctx context.Context, n int, cfg PlacementConfig) (*Pl
 	return b, firstErr
 }
 
-// ClusterStatus returns the sharded backend's shard health snapshot,
-// or nil when the instance runs the plain in-process backend. In
-// placement mode it reports the worker health snapshots.
+// ClusterStatus returns the placement workers' health snapshots, or
+// nil when the instance runs the plain in-process backend.
 func (db *DB) ClusterStatus() []ShardStatus {
-	switch b := db.core.Backend().(type) {
-	case *cluster.ShardedBackend:
-		return b.Status()
-	case *cluster.PlacementBackend:
-		sts := b.Status()
-		out := make([]ShardStatus, len(sts))
-		for i, st := range sts {
-			out[i] = st.ShardStatus
-		}
-		return out
+	b, ok := db.core.Backend().(*cluster.PlacementBackend)
+	if !ok {
+		return nil
 	}
-	return nil
+	sts := b.Status()
+	out := make([]ShardStatus, len(sts))
+	for i, st := range sts {
+		out[i] = st.ShardStatus
+	}
+	return out
 }
